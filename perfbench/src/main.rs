@@ -24,16 +24,16 @@ mod serving;
 mod spans;
 mod stats;
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use group_scissor::ModelKind;
+use serde::Value;
 
 use crate::serving::{ServeSpec, Served};
 use crate::spans::Recorder;
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 7;
+const SETUP_REPEATS: usize = 11;
 const OUT_DIR: &str = "perfbench/out";
 
 /// The metrics, correctness checks and operation counts of one run.
@@ -68,16 +68,20 @@ impl Report {
         self.checks.iter().all(|&(_, ok)| ok) && self.metrics.iter().all(|&(_, v, _)| v.is_finite())
     }
 
-    fn metrics_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value, unit)) in self.metrics.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let value = if value.is_finite() { *value } else { 0.0 };
-            let _ = write!(out, "{sep}\"{name}\": {{\"value\": {value:?}, \"unit\": \"{unit}\"}}");
-        }
-        out.push('}');
-        out
+    fn metrics_value(&self) -> Value {
+        let entry = |value: f64, unit: &str| {
+            let value = if value.is_finite() { value } else { 0.0 };
+            Value::Map(vec![
+                ("value".to_string(), Value::F64(value)),
+                ("unit".to_string(), Value::Str(unit.to_string())),
+            ])
+        };
+        Value::Map(self.metrics.iter().map(|(n, v, u)| (n.clone(), entry(*v, u))).collect())
     }
+}
+
+fn json(v: &Value) -> String {
+    serde_json::to_string(v).expect("JSON of a value tree")
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -269,7 +273,8 @@ fn git_revision() -> String {
 
 /// Everything built before the first timed stage or request: the
 /// pipeline's datasets, the serving sample pools and plans, and the
-/// registered router. Repeated; the last set-up is kept.
+/// registered, warmed router. Repeated; the last set-up is kept, and only
+/// then are the reference outputs computed.
 struct Setup {
     train: scissor_data::Dataset,
     test: scissor_data::Dataset,
@@ -278,23 +283,28 @@ struct Setup {
     synth_s: f64,
 }
 
+/// Reports `setup_s`, the median CPU seconds (all threads) of the
+/// set-ups: CPU time, like the other gated costs, leaves out the time
+/// the hypervisor gives the CPUs to other guests.
 fn setup(w: Workload, spec: &ServeSpec, seed: u64, report: &mut Report) -> Setup {
     let mut times = Vec::new();
     let mut last = None;
     for _ in 0..SETUP_REPEATS {
-        // Release the previous router first so its threads are not timed.
+        // Release the previous router first so its teardown is not timed.
         drop(last.take());
-        let t = Instant::now();
+        let (t, cpu) = (Instant::now(), cpu::process_s());
         let cfg = compress::micro_cfg(w.compressed());
         let (train, test) = cfg.datasets();
         let synth_s = t.elapsed().as_secs_f64();
         let serving = serving::setup(spec, seed);
-        times.push(t.elapsed().as_secs_f64());
+        times.push(cpu::process_s() - cpu);
         let synth_s = synth_s + serving.synth_s;
         last = Some(Setup { train, test, cfg, serving, synth_s });
     }
     report.metric("setup_s", stats::median(&times), "s");
-    last.expect("at least one set-up")
+    let mut s = last.expect("at least one set-up");
+    s.serving.compute_references();
+    s
 }
 
 fn run_untraced(w: Workload, args: &Args, report: &mut Report) {
@@ -365,20 +375,23 @@ fn write_record(args: &Args, report: &Report, fp: &[(&str, String)], spans: Opti
         args.seed,
         u8::from(args.trace)
     );
-    let mut rec = String::from("{\n  \"fingerprint\": {");
-    for (i, (k, v)) in fp.iter().enumerate() {
-        let sep = if i > 0 { ", " } else { "" };
-        let _ = write!(rec, "{sep}\"{k}\": \"{}\"", v.replace(['"', '\\'], ""));
-    }
-    let _ = write!(rec, "}},\n  \"workload\": \"{}\",\n  \"checks\": {{", args.workload.name());
-    for (i, (k, ok)) in report.checks.iter().enumerate() {
-        let sep = if i > 0 { ", " } else { "" };
-        let _ = write!(rec, "{sep}\"{k}\": {ok}");
-    }
-    let _ = write!(rec, "}},\n  \"metrics\": {},", report.metrics_json());
-    let info: Vec<String> =
-        report.info.iter().map(|(k, v, u)| format!("\"{k}\": [{v:?}, \"{u}\"]")).collect();
-    let _ = write!(rec, "\n  \"info\": {{{}}}\n}}\n", info.join(", "));
+    let str_map = |entries: &[(&str, String)]| {
+        Value::Map(entries.iter().map(|(k, v)| (k.to_string(), Value::Str(v.clone()))).collect())
+    };
+    let checks = report.checks.iter().map(|(k, ok)| (k.clone(), Value::Bool(*ok))).collect();
+    let info = report
+        .info
+        .iter()
+        .map(|(k, v, u)| (k.clone(), Value::Seq(vec![Value::F64(*v), Value::Str(u.to_string())])))
+        .collect();
+    let rec = Value::Map(vec![
+        ("fingerprint".to_string(), str_map(fp)),
+        ("workload".to_string(), Value::Str(args.workload.name().to_string())),
+        ("checks".to_string(), Value::Map(checks)),
+        ("metrics".to_string(), report.metrics_value()),
+        ("info".to_string(), Value::Map(info)),
+    ]);
+    let rec = json(&rec) + "\n";
     let written = std::fs::create_dir_all(OUT_DIR)
         .and_then(|()| std::fs::write(format!("{stem}.json"), rec))
         .and_then(|()| {
@@ -423,12 +436,13 @@ fn main() {
     }
     write_record(&args, &report, &fp, spans.as_ref());
     let correct = report.correct();
-    println!(
-        "{{\"correct\": {correct}, \"attempted\": {}, \"failed\": {}, \"metrics\": {}}}",
-        report.attempted.max(1),
-        report.failed,
-        report.metrics_json()
-    );
+    let result = Value::Map(vec![
+        ("correct".to_string(), Value::Bool(correct)),
+        ("attempted".to_string(), Value::U64(report.attempted.max(1))),
+        ("failed".to_string(), Value::U64(report.failed)),
+        ("metrics".to_string(), report.metrics_value()),
+    ]);
+    println!("{}", json(&result));
     if !correct {
         std::process::exit(1);
     }

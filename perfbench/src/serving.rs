@@ -16,7 +16,7 @@ use scissor_nn::{CompiledNet, InferScratch, Layer, Network, Tensor4};
 use scissor_router::{ModelConfig, Router, ServeConfig, ServeStats};
 
 use crate::loadgen::{self, Arrival, CollectorConfig, PhaseResult};
-use crate::stats::{median, percentile, percentile_supported};
+use crate::stats::{median, percentile, percentile_supported, tail_percentile};
 use crate::Report;
 
 /// Latency limit on p99 for the `max_rps` search.
@@ -88,17 +88,20 @@ pub fn compile(net: &Network, int8: bool) -> CompiledNet {
 /// Everything built before the first timed request.
 pub struct Setup {
     pub router: Router,
+    plans: Vec<Arc<CompiledNet>>,
     samples: Vec<Vec<Tensor4>>,
-    /// Direct single-sample `infer_into` output of every pooled sample.
+    /// Direct single-sample `infer_into` output of every pooled sample,
+    /// filled by [`Setup::compute_references`] outside the timed set-up.
     expected: Vec<Vec<Vec<f32>>>,
     pub synth_s: f64,
 }
 
-/// Synthesizes the sample pools, builds and compiles the plans, computes
-/// the reference outputs and registers every model with a fresh router.
+/// Synthesizes the sample pools, builds and compiles the plans, registers
+/// every model with a fresh router and waits until each replica has
+/// served its first request, so its warm-up is part of the set-up.
 pub fn setup(spec: &ServeSpec, seed: u64) -> Setup {
     let mut samples = Vec::new();
-    let mut expected = Vec::new();
+    let mut plans = Vec::new();
     let mut synth_s = 0.0;
     let router = Router::new();
     for (i, m) in spec.models.iter().enumerate() {
@@ -113,9 +116,6 @@ pub fn setup(spec: &ServeSpec, seed: u64) -> Setup {
         let net =
             clipped_network(m.kind, &mut StdRng::seed_from_u64(seed ^ 0x5eed_0000 ^ i as u64));
         let plan = Arc::new(compile(&net, m.int8));
-        let mut scratch = InferScratch::new();
-        let refs =
-            pool.iter().map(|x| plan.infer_into(x, &mut scratch).as_slice().to_vec()).collect();
         let cfg = ModelConfig {
             replicas: m.replicas,
             queue_high_water: 4096,
@@ -126,11 +126,39 @@ pub fn setup(spec: &ServeSpec, seed: u64) -> Setup {
             },
             ..ModelConfig::default()
         };
-        router.register_shared(m.name, plan, cfg).expect("register model");
+        router.register_shared(m.name, Arc::clone(&plan), cfg).expect("register model");
         samples.push(pool);
-        expected.push(refs);
+        plans.push(plan);
     }
-    Setup { router, samples, expected, synth_s }
+    // A replica warms its scratch on its own thread before it serves. A
+    // burst of one request per replica reaches every replica of a fresh
+    // router (ties rotate), so waiting for the burst waits for every
+    // warm-up.
+    for (m, pool) in spec.models.iter().zip(&samples) {
+        let burst: Vec<_> = (0..m.replicas)
+            .map(|_| router.submit(m.name, &pool[0]).expect("first request admitted"))
+            .collect();
+        for ticket in burst {
+            ticket.wait();
+        }
+    }
+    Setup { router, plans, samples, expected: Vec::new(), synth_s }
+}
+
+impl Setup {
+    /// The reference output of every pooled sample: one direct
+    /// single-sample `infer_into` on the served plan.
+    pub fn compute_references(&mut self) {
+        let mut scratch = InferScratch::new();
+        self.expected = self
+            .plans
+            .iter()
+            .zip(&self.samples)
+            .map(|(plan, pool)| {
+                pool.iter().map(|x| plan.infer_into(x, &mut scratch).as_slice().to_vec()).collect()
+            })
+            .collect();
+    }
 }
 
 fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
@@ -163,7 +191,8 @@ pub struct Phase {
     pub pool: rayon::PoolStats,
     pub wall: Duration,
     /// CPU seconds the program spent serving the phase: every thread of
-    /// the process except the load generator's two.
+    /// the process but the collector. The generator thread counts, since
+    /// nearly all of its CPU is `Router::submit`.
     pub serve_cpu_s: f64,
 }
 
@@ -196,8 +225,7 @@ impl<'a> Driver<'a> {
         let schedule = loadgen::poisson_schedule(&mut self.rng, rate, count, &shares, SAMPLE_POOL);
         let (serve0, shed0) = self.totals();
         let mut pool = rayon::pool_stats();
-        // The generator is this thread; the collector reports its own.
-        let (cpu0, gen0) = (crate::cpu::process_s(), crate::cpu::thread_s());
+        let cpu0 = crate::cpu::process_s();
         let t0 = Instant::now();
         let setup = self.setup;
         let names: Vec<&str> = self.spec.models.iter().map(|m| m.name).collect();
@@ -209,8 +237,7 @@ impl<'a> Driver<'a> {
             |a: &Arrival, out: &[f32]| bitwise_eq(out, &setup.expected[a.model][a.sample]),
         );
         let wall = t0.elapsed();
-        let loadgen = crate::cpu::thread_s() - gen0 + result.collector_cpu_s;
-        let serve_cpu_s = crate::cpu::process_s() - cpu0 - loadgen;
+        let serve_cpu_s = crate::cpu::process_s() - cpu0 - result.collector_cpu_s;
         let pool = rayon::pool_stats_delta(&mut pool);
         let (serve1, shed1) = self.totals();
         let serve = stats_delta(&serve0, &serve1);
@@ -358,10 +385,15 @@ pub fn measure_traced(
     report.metric("router.submit_us.p99", percentile(&submits, 99.0), "us");
     let shed: u64 = [&low, &high, &traced].iter().map(|ph| ph.router_shed + ph.serve.shed).sum();
     report.metric("router.shed", shed as f64, "count");
+    // A model gets only its share of a phase's deliveries, too few for
+    // p99 on `mix`: report the highest percentile they support.
     for name in ["lenet", "convnet"] {
         let idx = spec.models.iter().position(|m| m.name == name);
-        let p99 = idx.and_then(|i| high.p(Some(i), 99.0)).unwrap_or(0.0);
-        report.metric(&format!("router.p99_ms.high.{name}"), p99, "ms");
+        let lat = idx.map_or_else(Vec::new, |i| high.result.latencies(Some(i)));
+        let tail = tail_percentile(lat.len());
+        report.info(&format!("router.tail_percentile.high.{name}"), tail.unwrap_or(0.0), "pct");
+        let value = tail.map_or(0.0, |p| percentile(&lat, p));
+        report.metric(&format!("router.tail_ms.high.{name}"), value, "ms");
     }
 
     let late = crate::stats::sorted(&high.result.late_ms);

@@ -1,8 +1,9 @@
 //! In-memory spans recorded by the benchmark around its calls into the
 //! workspace crates, written out once at the end of a traced run.
 
-use std::fmt::Write as _;
 use std::time::Instant;
+
+use serde::Value;
 
 /// One timed call. Times are nanoseconds since the recorder's origin.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,22 +93,25 @@ impl Recorder {
 
     /// The spans as a JSON array, with each span's self time.
     pub fn to_json(&self) -> String {
-        let selfs = self_times(&self.spans);
-        let mut out = String::from("[");
-        for (i, (s, own)) in self.spans.iter().zip(selfs).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let parent = s.parent.map_or_else(|| "null".to_string(), |p| p.to_string());
-            let _ = write!(
-                out,
-                "\n{{\"id\":{i},\"name\":\"{}\",\"start_ns\":{},\"end_ns\":{},\"parent\":{parent},\
-                 \"request\":{},\"self_ns\":{own}}}",
-                s.name, s.start_ns, s.end_ns, s.request
-            );
-        }
-        out.push_str("\n]\n");
-        out
+        let spans = self
+            .spans
+            .iter()
+            .zip(self_times(&self.spans))
+            .enumerate()
+            .map(|(i, (s, own))| {
+                let parent = s.parent.map_or(Value::Null, |p| Value::U64(p as u64));
+                Value::Map(vec![
+                    ("id".to_string(), Value::U64(i as u64)),
+                    ("name".to_string(), Value::Str(s.name.to_string())),
+                    ("start_ns".to_string(), Value::U64(s.start_ns)),
+                    ("end_ns".to_string(), Value::U64(s.end_ns)),
+                    ("parent".to_string(), parent),
+                    ("request".to_string(), Value::U64(s.request)),
+                    ("self_ns".to_string(), Value::U64(own)),
+                ])
+            })
+            .collect();
+        serde_json::to_string(&Value::Seq(spans)).expect("JSON of a value tree")
     }
 }
 
