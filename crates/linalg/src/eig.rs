@@ -1,45 +1,29 @@
-//! Symmetric eigendecomposition via the cyclic Jacobi method.
+//! Symmetric eigendecomposition: Householder tridiagonalization followed by
+//! implicit-shift QL.
 //!
 //! PCA (the paper's Algorithm 1) needs the full spectrum of an `M × M`
-//! covariance/Gram matrix where `M ≤ 1024` for every layer of LeNet and
-//! ConvNet — squarely in the regime where Jacobi iteration is simple, robust
-//! and accurate. All arithmetic is `f64`; the public API converts from/to the
-//! workspace's `f32` [`Matrix`].
+//! covariance/Gram matrix, with `M` up to 500 on LeNet's `fc1` and growing
+//! with the network. The solver is the classic two-phase one (`tred2` +
+//! `tql2` of EISPACK): Householder reflections reduce the matrix to
+//! tridiagonal form while accumulating the orthogonal transform, then QL
+//! iterations with Wilkinson-style implicit shifts deflate one eigenvalue at
+//! a time, folding every plane rotation into the transform. The cost is a
+//! fixed ~`4n³/3` for the reduction plus a few rotation passes per
+//! eigenvalue, against Jacobi-style sweeps whose count grows with `n`.
 //!
-//! # Sweep ordering
-//!
-//! Small matrices use the textbook row-cyclic ordering: rotations applied
-//! one pair at a time, two-sided, in place. At `ROUND_SWEEP_MIN_N` (64)
-//! and above, a sweep is instead organized as `n - 1`
-//! *tournament rounds* (round-robin scheduling): each round annihilates
-//! `⌊n/2⌋` pairwise-disjoint pivots. Disjoint rotations commute, so the
-//! whole round is one orthogonal similarity `A ← JᵀAJ`, applied as a right
-//! pass (`C = A·J`: two elements per row per rotation, rows independent)
-//! followed by a left pass (`A' = Jᵀ·C`: two whole rows per rotation, pairs
-//! disjoint) — every pass streams contiguous rows instead of walking
-//! columns, and (with the `parallel` feature) the row blocks of each pass
-//! fan out across rayon's persistent pool. Both orderings visit every pair
-//! exactly once per sweep and share the same convergence test.
+//! The transform is stored **transposed** (`w[j][k]` holds `Q[k][j]`): the
+//! reduction's inner loops then walk rows, and each QL rotation mixes two
+//! contiguous rows — unit-stride streams the compiler vectorizes. All
+//! arithmetic is `f64` in one fixed serial order, so results are
+//! deterministic; the public API converts from/to the workspace's `f32`
+//! [`Matrix`].
 
 use crate::error::{LinalgError, Result};
 use crate::Matrix;
 
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
-/// Maximum number of full Jacobi sweeps before reporting non-convergence.
-const MAX_SWEEPS: usize = 64;
-
-/// Matrix order at which sweeps switch from the in-place row-cyclic
-/// ordering to round-robin rounds (see the module docs). Below this the
-/// two extra row-major passes cost more than the strided column walks they
-/// replace.
-const ROUND_SWEEP_MIN_N: usize = 64;
-
-/// Minimum rows-per-task granularity (in f64 elements touched) before a
-/// rotation pass is worth dispatching to the pool.
-#[cfg(feature = "parallel")]
-const PAR_PASS_MIN_ELEMS: usize = 1 << 14;
+/// Maximum QL iterations spent on any one eigenvalue before reporting
+/// non-convergence (one to three is typical).
+const MAX_QL_ITERS: usize = 64;
 
 /// Result of a symmetric eigendecomposition: `A = V · diag(λ) · Vᵀ`.
 ///
@@ -77,9 +61,8 @@ impl SymEig {
 /// # Errors
 ///
 /// Returns [`LinalgError::ShapeMismatch`] for non-square input and
-/// [`LinalgError::NoConvergence`] if the off-diagonal mass has not vanished
-/// after the sweep budget (does not happen for well-scaled covariance
-/// matrices).
+/// [`LinalgError::NoConvergence`] if some eigenvalue has not deflated within
+/// the QL iteration cap (does not happen for finite input).
 ///
 /// # Examples
 ///
@@ -92,19 +75,6 @@ impl SymEig {
 /// # Ok::<(), scissor_linalg::LinalgError>(())
 /// ```
 pub fn sym_eig(a: &Matrix) -> Result<SymEig> {
-    sym_eig_impl(a, true)
-}
-
-/// Always-sequential reference implementation of [`sym_eig`].
-///
-/// Every rotation pass runs on the calling thread; [`sym_eig`] with the
-/// pool enabled must agree with this bitwise (the `spectral_agreement`
-/// proptests assert exact equality, as for the matmul kernels).
-pub fn sym_eig_serial(a: &Matrix) -> Result<SymEig> {
-    sym_eig_impl(a, false)
-}
-
-fn sym_eig_impl(a: &Matrix, allow_parallel: bool) -> Result<SymEig> {
     if a.rows() != a.cols() {
         return Err(LinalgError::ShapeMismatch {
             expected: (a.rows(), a.rows()),
@@ -119,335 +89,206 @@ fn sym_eig_impl(a: &Matrix, allow_parallel: bool) -> Result<SymEig> {
             buf[i * n + j] = 0.5 * (a[(i, j)] as f64 + a[(j, i)] as f64);
         }
     }
-    let (values, vectors) = sym_eig_f64(&mut buf, n, allow_parallel)?;
+    let (values, vectors) = sym_eig_f64(&mut buf, n)?;
     Ok(SymEig { values, vectors: Matrix::from_f64_vec(n, n, &vectors) })
 }
 
-/// Jacobi eigendecomposition over a raw `f64` buffer (row-major `n × n`,
-/// destroyed in place). Returns `(eigenvalues desc, eigenvectors col-major as
-/// row-major n×n matrix)`. `allow_parallel = false` forces every rotation
-/// pass onto the calling thread (bitwise-identical by the pass contracts).
-pub(crate) fn sym_eig_f64(
-    a: &mut [f64],
-    n: usize,
-    allow_parallel: bool,
-) -> Result<(Vec<f64>, Vec<f64>)> {
-    let mut v = vec![0.0_f64; n * n];
-    for i in 0..n {
-        v[i * n + i] = 1.0;
-    }
+/// Eigendecomposition over a raw `f64` buffer: `a` is a row-major,
+/// symmetric `n × n` matrix (only its upper triangle is read) and is
+/// destroyed. Returns `(eigenvalues desc, eigenvectors)`, the eigenvectors
+/// as the columns of a row-major `n × n` matrix.
+pub(crate) fn sym_eig_f64(a: &mut [f64], n: usize) -> Result<(Vec<f64>, Vec<f64>)> {
     if n <= 1 {
-        let values = if n == 1 { vec![a[0]] } else { vec![] };
-        return Ok((values, v));
+        return Ok((a.to_vec(), vec![1.0; n]));
     }
+    let mut d = vec![0.0_f64; n];
+    let mut e = vec![0.0_f64; n];
+    tridiagonalize(a, n, &mut d, &mut e);
+    tridiagonal_ql(a, n, &mut d, &mut e)?;
 
-    let frob: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if frob == 0.0 {
-        return Ok((vec![0.0; n], v));
-    }
-    let tol = 1e-14 * frob;
-
-    let use_rounds = n >= ROUND_SWEEP_MIN_N;
-    // Backs the out-of-place parallel left pass; grown lazily on the first
-    // pass that actually fans out, so serial solves never pay for it.
-    let mut scratch: Vec<f64> = Vec::new();
-
-    for _sweep in 0..MAX_SWEEPS {
-        let mut off = 0.0_f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                off += a[p * n + q] * a[p * n + q];
-            }
-        }
-        if off.sqrt() <= tol {
-            return Ok(finish(a, v, n));
-        }
-        if use_rounds {
-            round_robin_sweep(a, &mut v, n, tol, &mut scratch, allow_parallel);
-        } else {
-            row_cyclic_sweep(a, &mut v, n, tol);
-        }
-    }
-
-    // One final tolerance check at a looser bound: Jacobi converges
-    // quadratically, so landing here with tiny residual off-diagonals is
-    // still a usable answer.
-    let mut off = 0.0_f64;
-    for p in 0..n {
-        for q in (p + 1)..n {
-            off += a[p * n + q] * a[p * n + q];
-        }
-    }
-    if off.sqrt() <= 1e-8 * frob {
-        return Ok(finish(a, v, n));
-    }
-    Err(LinalgError::NoConvergence { solver: "jacobi eigensolver", sweeps: MAX_SWEEPS })
-}
-
-/// One plane rotation `J(p, q; c, s)` chosen to annihilate `a_pq`.
-#[derive(Debug, Clone, Copy)]
-struct PlaneRot {
-    p: usize,
-    q: usize,
-    c: f64,
-    s: f64,
-}
-
-/// Computes the classic Jacobi rotation annihilating `a_pq`, or `None` when
-/// the pivot is already below the rotation threshold.
-fn plane_rotation(a: &[f64], n: usize, p: usize, q: usize, tol: f64) -> Option<PlaneRot> {
-    let apq = a[p * n + q];
-    if apq.abs() <= tol / (n as f64) {
-        return None;
-    }
-    let app = a[p * n + p];
-    let aqq = a[q * n + q];
-    // Choose t = tan θ that annihilates a_pq.
-    let theta = (aqq - app) / (2.0 * apq);
-    let t = if theta >= 0.0 {
-        1.0 / (theta + (1.0 + theta * theta).sqrt())
-    } else {
-        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-    };
-    let c = 1.0 / (1.0 + t * t).sqrt();
-    let s = t * c;
-    Some(PlaneRot { p, q, c, s })
-}
-
-/// Textbook in-place row-cyclic sweep: rotations applied two-sided, one
-/// pair at a time, each seeing all previous updates.
-fn row_cyclic_sweep(a: &mut [f64], v: &mut [f64], n: usize, tol: f64) {
-    for p in 0..n {
-        for q in (p + 1)..n {
-            let Some(rot) = plane_rotation(a, n, p, q, tol) else {
-                continue;
-            };
-            let (c, s) = (rot.c, rot.s);
-            // Update rows/columns p and q of A (symmetric two-sided rotation).
-            for k in 0..n {
-                let akp = a[k * n + p];
-                let akq = a[k * n + q];
-                a[k * n + p] = c * akp - s * akq;
-                a[k * n + q] = s * akp + c * akq;
-            }
-            for k in 0..n {
-                let apk = a[p * n + k];
-                let aqk = a[q * n + k];
-                a[p * n + k] = c * apk - s * aqk;
-                a[q * n + k] = s * apk + c * aqk;
-            }
-            // Accumulate the rotation into V (columns are eigenvectors).
-            for k in 0..n {
-                let vkp = v[k * n + p];
-                let vkq = v[k * n + q];
-                v[k * n + p] = c * vkp - s * vkq;
-                v[k * n + q] = s * vkp + c * vkq;
-            }
-        }
-    }
-}
-
-/// Applies a set of pairwise-disjoint plane rotations on the right
-/// (`M ← M · J`), row by row. Rows are independent, so row blocks fan out
-/// across the pool when the pass is large enough to pay for dispatch.
-fn apply_plane_rotations(mat: &mut [f64], n: usize, rots: &[PlaneRot], allow_parallel: bool) {
-    #[cfg(not(feature = "parallel"))]
-    let _ = allow_parallel;
-    let rotate_rows = |rows: &mut [f64]| {
-        for row in rows.chunks_mut(n) {
-            for r in rots {
-                let x = row[r.p];
-                let y = row[r.q];
-                row[r.p] = r.c * x - r.s * y;
-                row[r.q] = r.s * x + r.c * y;
-            }
-        }
-    };
-    #[cfg(feature = "parallel")]
-    {
-        let rows = mat.len() / n.max(1);
-        let threads = if allow_parallel { pass_threads(rows, rots.len()) } else { 1 };
-        if threads > 1 {
-            let rows_per_task = rows.div_ceil(threads);
-            mat.par_chunks_mut(rows_per_task * n).for_each(rotate_rows);
-            return;
-        }
-    }
-    rotate_rows(mat);
-}
-
-/// Applies disjoint plane rotations on the left (`M ← Jᵀ · M`): each
-/// rotation mixes exactly two whole rows — contiguous, vectorizable
-/// streams. In place; used on the serial path.
-fn left_apply_plane_rotations(mat: &mut [f64], n: usize, rots: &[PlaneRot]) {
-    for r in rots {
-        // r.p < r.q by construction, so the split lands between them.
-        let (head, tail) = mat.split_at_mut(r.q * n);
-        let row_p = &mut head[r.p * n..r.p * n + n];
-        let row_q = &mut tail[..n];
-        for (x, y) in row_p.iter_mut().zip(row_q.iter_mut()) {
-            let (xp, yq) = (*x, *y);
-            *x = r.c * xp - r.s * yq;
-            *y = r.s * xp + r.c * yq;
-        }
-    }
-}
-
-/// Per-row rotation lookup for the parallel left pass:
-/// row → (partner row, c, s, whether this row is the p side).
-#[cfg(feature = "parallel")]
-type RowRotEntry = Option<(usize, f64, f64, bool)>;
-
-/// Parallel variant of [`left_apply_plane_rotations`]: output rows are
-/// produced out-of-place into `scratch` (each from at most two input rows,
-/// so row blocks are independent), then copied back. `row_rot` is a
-/// caller-owned buffer reused across rounds, like `scratch`.
-#[cfg(feature = "parallel")]
-fn left_apply_plane_rotations_par(
-    mat: &mut [f64],
-    n: usize,
-    rots: &[PlaneRot],
-    scratch: &mut [f64],
-    row_rot: &mut Vec<RowRotEntry>,
-    threads: usize,
-) {
-    row_rot.clear();
-    row_rot.resize(n, None);
-    for r in rots {
-        row_rot[r.p] = Some((r.q, r.c, r.s, true));
-        row_rot[r.q] = Some((r.p, r.c, r.s, false));
-    }
-    let rows_per_task = n.div_ceil(threads);
-    let src: &[f64] = mat;
-    let row_rot: &[RowRotEntry] = row_rot;
-    scratch.par_chunks_mut(rows_per_task * n).enumerate().for_each(|(idx, chunk)| {
-        let row0 = idx * rows_per_task;
-        for (local, out_row) in chunk.chunks_mut(n).enumerate() {
-            let r = row0 + local;
-            let in_row = &src[r * n..r * n + n];
-            match row_rot[r] {
-                None => out_row.copy_from_slice(in_row),
-                Some((other, c, s, is_p)) => {
-                    let other_row = &src[other * n..other * n + n];
-                    if is_p {
-                        for ((o, &x), &y) in out_row.iter_mut().zip(in_row).zip(other_row) {
-                            *o = c * x - s * y;
-                        }
-                    } else {
-                        for ((o, &y), &x) in out_row.iter_mut().zip(in_row).zip(other_row) {
-                            *o = s * x + c * y;
-                        }
-                    }
-                }
-            }
-        }
-    });
-    mat.copy_from_slice(scratch);
-}
-
-/// Whether a rotation pass over `rows` rows is worth fanning out.
-#[cfg(feature = "parallel")]
-fn pass_threads(rows: usize, nrots: usize) -> usize {
-    let threads = rayon::current_num_threads().min(16);
-    if threads > 1 && rows * nrots * 2 >= PAR_PASS_MIN_ELEMS {
-        threads
-    } else {
-        1
-    }
-}
-
-/// One full sweep as `n - 1` tournament rounds of disjoint rotations.
-///
-/// Each round's rotations commute (no two touch the same index), so the
-/// whole round is one orthogonal similarity `A ← JᵀAJ` with `J` the product
-/// of its rotations, applied as a right pass (`C = A·J`; two elements per
-/// row per rotation, rows independent) followed by a left pass
-/// (`A' = Jᵀ·C`; two whole rows per rotation, pairs disjoint) — both pure
-/// row-major streaming, no strided column walks. `V` accumulates `V ← V·J`
-/// with the same right pass. With the `parallel` feature and enough work,
-/// each pass fans out across rayon's persistent pool.
-fn round_robin_sweep(
-    a: &mut [f64],
-    v: &mut [f64],
-    n: usize,
-    tol: f64,
-    scratch: &mut Vec<f64>,
-    allow_parallel: bool,
-) {
-    #[cfg(not(feature = "parallel"))]
-    let _ = allow_parallel;
-    // Tournament (circle-method) schedule over n players, padded to even
-    // with a bye; n-1 rounds cover every unordered pair exactly once.
-    let np = n + (n & 1);
-    let mut ring: Vec<usize> = (0..np).collect();
-    let mut rots: Vec<PlaneRot> = Vec::with_capacity(np / 2);
-    #[cfg(feature = "parallel")]
-    let mut row_rot: Vec<RowRotEntry> = Vec::new();
-    for _round in 0..np - 1 {
-        rots.clear();
-        for i in 0..np / 2 {
-            let (mut p, mut q) = (ring[i], ring[np - 1 - i]);
-            if p > q {
-                std::mem::swap(&mut p, &mut q);
-            }
-            if q >= n {
-                continue; // bye slot on odd n
-            }
-            // Disjointness keeps every pair's pivot block untouched by the
-            // rest of the round, so round-start values are current values.
-            if let Some(rot) = plane_rotation(a, n, p, q, tol) {
-                rots.push(rot);
-            }
-        }
-        if !rots.is_empty() {
-            // C = A·J …
-            apply_plane_rotations(a, n, &rots, allow_parallel);
-            // … then A' = Jᵀ·C.
-            #[cfg(feature = "parallel")]
-            {
-                let threads = if allow_parallel { pass_threads(n, rots.len()) } else { 1 };
-                // Unlike the in-place serial pass (2·n elements per
-                // rotation), the out-of-place parallel pass streams the full
-                // n² matrix — untouched rows are copied — plus an n² copy
-                // back. Only fan out when the serial row-pair work split
-                // across threads still exceeds that fixed traffic, i.e.
-                // when most rows of the round carry a rotation; late sweeps
-                // with few surviving rotations stay serial.
-                let threads = if rots.len() * threads >= n { threads } else { 1 };
-                if threads > 1 {
-                    scratch.resize(n * n, 0.0);
-                    left_apply_plane_rotations_par(a, n, &rots, scratch, &mut row_rot, threads);
-                } else {
-                    left_apply_plane_rotations(a, n, &rots);
-                }
-            }
-            #[cfg(not(feature = "parallel"))]
-            left_apply_plane_rotations(a, n, &rots);
-            // V = V·J.
-            apply_plane_rotations(v, n, &rots, allow_parallel);
-        }
-        // Advance the schedule: hold ring[0], rotate the rest one step.
-        let last = ring[np - 1];
-        for idx in (2..np).rev() {
-            ring[idx] = ring[idx - 1];
-        }
-        ring[1] = last;
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = scratch;
-}
-
-fn finish(a: &[f64], v: Vec<f64>, n: usize) -> (Vec<f64>, Vec<f64>) {
+    // Descending order; row `old` of the transposed transform is the
+    // eigenvector of `d[old]`.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| a[j * n + j].partial_cmp(&a[i * n + i]).expect("NaN eigenvalue"));
-    let values: Vec<f64> = order.iter().map(|&i| a[i * n + i]).collect();
+    order.sort_by(|&i, &j| d[j].total_cmp(&d[i]));
+    let values = order.iter().map(|&i| d[i]).collect();
     let mut vectors = vec![0.0_f64; n * n];
-    for (new_col, &old_col) in order.iter().enumerate() {
-        for row in 0..n {
-            vectors[row * n + new_col] = v[row * n + old_col];
+    for (col, &old) in order.iter().enumerate() {
+        for (row, &x) in a[old * n..old * n + n].iter().enumerate() {
+            vectors[row * n + col] = x;
         }
     }
-    (values, vectors)
+    Ok((values, vectors))
+}
+
+/// Householder reduction to tridiagonal form (`tred2`), in place: on return
+/// `d` is the diagonal, `e[1..]` the sub-diagonal (`e[0] = 0`) and `w` the
+/// transposed orthogonal transform `Qᵀ` with `A = Q·T·Qᵀ`.
+fn tridiagonalize(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
+    for j in 0..n {
+        d[j] = w[j * n + n - 1];
+    }
+    for i in (1..n).rev() {
+        // Reflect row i of the active block onto its sub-diagonal; `d[..i]`
+        // holds that row on entry.
+        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+        let mut h = 0.0;
+        if scale == 0.0 {
+            e[i] = d[i - 1];
+            for j in 0..i {
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
+                w[i * n + j] = 0.0;
+            }
+        } else {
+            for x in &mut d[..i] {
+                *x /= scale;
+                h += *x * *x;
+            }
+            let f = d[i - 1];
+            let g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            e[..i].fill(0.0);
+
+            // e = A·u over the active block (u = d[..i]), keeping u in row i.
+            for j in 0..i {
+                let f = d[j];
+                w[i * n + j] = f;
+                let row = &w[j * n..j * n + i];
+                let mut g = e[j] + row[j] * f;
+                for k in j + 1..i {
+                    g += row[k] * d[k];
+                    e[k] += row[k] * f;
+                }
+                e[j] = g;
+            }
+            let mut f = 0.0;
+            for j in 0..i {
+                e[j] /= h;
+                f += e[j] * d[j];
+            }
+            let hh = f / (h + h);
+            for j in 0..i {
+                e[j] -= hh * d[j];
+            }
+            // Rank-2 update A -= u·eᵀ + e·uᵀ of the active block.
+            for j in 0..i {
+                let (f, g) = (d[j], e[j]);
+                for (k, x) in w[j * n + j..j * n + i].iter_mut().enumerate() {
+                    *x -= f * e[j + k] + g * d[j + k];
+                }
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
+            }
+        }
+        d[i] = h;
+    }
+
+    // Accumulate the reflections into Qᵀ (row i+1 holds reflection i+1's
+    // vector; column n-1 temporarily parks the diagonal).
+    for i in 0..n - 1 {
+        w[i * n + n - 1] = w[i * n + i];
+        w[i * n + i] = 1.0;
+        let h = d[i + 1];
+        if h != 0.0 {
+            let (head, tail) = w.split_at_mut((i + 1) * n);
+            let u = &tail[..=i];
+            for (dk, &uk) in d[..=i].iter_mut().zip(u) {
+                *dk = uk / h;
+            }
+            for j in 0..=i {
+                let row = &mut head[j * n..j * n + i + 1];
+                let g: f64 = u.iter().zip(row.iter()).map(|(a, b)| a * b).sum();
+                for (x, &dk) in row.iter_mut().zip(&d[..=i]) {
+                    *x -= g * dk;
+                }
+            }
+        }
+        w[(i + 1) * n..(i + 1) * n + i + 1].fill(0.0);
+    }
+    for j in 0..n {
+        d[j] = w[j * n + n - 1];
+        w[j * n + n - 1] = 0.0;
+    }
+    w[n * n - 1] = 1.0;
+    e[0] = 0.0;
+}
+
+/// Implicit-shift QL on the tridiagonal `(d, e)` from [`tridiagonalize`]
+/// (`tql2`): on return `d` holds the eigenvalues (unsorted) and row `j` of
+/// `w` the eigenvector of `d[j]`.
+fn tridiagonal_ql(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) -> Result<()> {
+    e.copy_within(1.., 0);
+    e[n - 1] = 0.0;
+    let mut f = 0.0_f64;
+    let mut tst1 = 0.0_f64;
+    for l in 0..n {
+        // Find the first negligible sub-diagonal element at or after l.
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let tol = f64::EPSILON * tst1;
+        // NaN is never negligible, so non-finite input ends in the error.
+        let negligible = |x: f64| x.abs() <= tol;
+        let mut m = l;
+        while m < n - 1 && !negligible(e[m]) {
+            m += 1;
+        }
+        // m > l implies e[l] is not negligible, so this runs at least once
+        // when m > l and then repeats until e[l] deflates.
+        let mut iters = 0;
+        while m > l && !negligible(e[l]) {
+            iters += 1;
+            if iters > MAX_QL_ITERS {
+                return Err(LinalgError::NoConvergence {
+                    solver: "tridiagonal QL eigensolver",
+                    sweeps: MAX_QL_ITERS,
+                });
+            }
+            // Shift from the leading 2×2 block.
+            let g = d[l];
+            let p = (d[l + 1] - g) / (2.0 * e[l]);
+            let r = if p < 0.0 { -p.hypot(1.0) } else { p.hypot(1.0) };
+            d[l] = e[l] / (p + r);
+            d[l + 1] = e[l] * (p + r);
+            let dl1 = d[l + 1];
+            let h = g - d[l];
+            for x in &mut d[l + 2..] {
+                *x -= h;
+            }
+            f += h;
+
+            // Chase the bulge from m up to l with plane rotations.
+            let mut p = d[m];
+            let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
+            let el1 = e[l + 1];
+            let (mut s, mut s2) = (0.0, 0.0);
+            for i in (l..m).rev() {
+                c3 = c2;
+                c2 = c;
+                s2 = s;
+                let g = c * e[i];
+                let h = c * p;
+                let r = p.hypot(e[i]);
+                e[i + 1] = s * r;
+                s = e[i] / r;
+                c = p / r;
+                p = c * d[i] - s * g;
+                d[i + 1] = h + s * (c * g + s * d[i]);
+                let (head, tail) = w.split_at_mut((i + 1) * n);
+                for (x, y) in head[i * n..].iter_mut().zip(&mut tail[..n]) {
+                    let h = *y;
+                    *y = s * *x + c * h;
+                    *x = c * *x - s * h;
+                }
+            }
+            p = -s * s2 * c3 * el1 * e[l] / dl1;
+            e[l] = s * p;
+            d[l] = c * p;
+        }
+        d[l] += f;
+        e[l] = 0.0;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -456,6 +297,44 @@ mod tests {
 
     fn mat(rows: &[&[f32]]) -> Matrix {
         Matrix::from_rows(rows)
+    }
+
+    /// Solves the `f64` matrix `g` and asserts the solver's contract: the
+    /// residual `‖GV − VΛ‖_F ≤ 1e-12·‖G‖_F`, `max|VᵀV − I| ≤ 1e-12`,
+    /// `Σλ = trace` and descending eigenvalues. Returns the eigenvalues.
+    fn solve_and_check(g: &[f64], n: usize) -> Vec<f64> {
+        let (values, v) = sym_eig_f64(&mut g.to_vec(), n).unwrap();
+        assert_eq!((values.len(), v.len()), (n, n * n));
+        let frob = g.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let mut residual = 0.0_f64;
+        for i in 0..n {
+            for j in 0..n {
+                let gv: f64 = (0..n).map(|k| g[i * n + k] * v[k * n + j]).sum();
+                residual += (gv - v[i * n + j] * values[j]).powi(2);
+            }
+        }
+        assert!(residual.sqrt() <= 1e-12 * frob, "residual {} vs ‖G‖ {frob}", residual.sqrt());
+        let mut worst = 0.0_f64;
+        for i in 0..n {
+            for j in 0..n {
+                let dot: f64 = (0..n).map(|k| v[k * n + i] * v[k * n + j]).sum();
+                worst = worst.max((dot - if i == j { 1.0 } else { 0.0 }).abs());
+            }
+        }
+        assert!(worst <= 1e-12, "max|VᵀV − I| = {worst}");
+        let trace: f64 = (0..n).map(|i| g[i * n + i]).sum();
+        let sum: f64 = values.iter().sum();
+        assert!((sum - trace).abs() <= 1e-12 * frob.max(1.0), "Σλ = {sum}, trace = {trace}");
+        assert!(values.windows(2).all(|p| p[0] >= p[1]), "eigenvalues not descending");
+        values
+    }
+
+    /// A deterministic dense `rows × cols` matrix with no special structure.
+    fn dense(rows: usize, cols: usize, seed: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |i, j| {
+            ((i * 13 + j * 29 + seed * 7) % 31) as f32 * 0.11 - 1.6
+                + ((i + 2 * j + seed) as f32 * 0.25).sin()
+        })
     }
 
     #[test]
@@ -553,12 +432,23 @@ mod tests {
         assert!(e.values.iter().all(|&v| v == 0.0));
         let e1 = sym_eig(&Matrix::filled(1, 1, 7.0)).unwrap();
         assert_eq!(e1.values, vec![7.0]);
+        assert_eq!(e1.vectors, Matrix::filled(1, 1, 1.0));
         let e0 = sym_eig(&Matrix::zeros(0, 0)).unwrap();
         assert!(e0.values.is_empty());
+        // The same inputs meet the full contract, orthonormal basis included.
+        solve_and_check(&[0.0; 16], 4);
+        solve_and_check(&[7.0], 1);
+        solve_and_check(&[], 0);
     }
 
-    /// A well-conditioned symmetric test matrix big enough to take the
-    /// round-robin sweep path.
+    #[test]
+    fn non_finite_input_reports_no_convergence() {
+        let mut a = vec![1.0, f64::NAN, 0.5, f64::NAN, 2.0, 0.0, 0.5, 0.0, 3.0];
+        assert!(matches!(sym_eig_f64(&mut a, 3), Err(LinalgError::NoConvergence { .. })));
+    }
+
+    /// A well-conditioned symmetric test matrix at an order well past the
+    /// small hand-checked cases.
     fn large_symmetric(n: usize) -> Matrix {
         Matrix::from_fn(n, n, |i, j| {
             let x = ((i * 7 + j * 3) % 29) as f32 - 14.0;
@@ -570,8 +460,7 @@ mod tests {
 
     #[test]
     fn round_sweep_path_reconstructs_input() {
-        let n = ROUND_SWEEP_MIN_N + 16;
-        let a = large_symmetric(n);
+        let a = large_symmetric(80);
         let e = sym_eig(&a).unwrap();
         let r = e.reconstruct();
         assert!(a.relative_error(&r) < 1e-6, "relative error {}", a.relative_error(&r));
@@ -579,7 +468,7 @@ mod tests {
 
     #[test]
     fn round_sweep_path_gives_orthonormal_eigenvectors() {
-        let n = ROUND_SWEEP_MIN_N + 2;
+        let n = 66;
         let a = large_symmetric(n);
         let e = sym_eig(&a).unwrap();
         let vtv = e.vectors.matmul_tn(&e.vectors);
@@ -593,8 +482,9 @@ mod tests {
 
     #[test]
     fn round_sweep_path_handles_odd_order_with_bye() {
-        let n = ROUND_SWEEP_MIN_N + 3;
-        assert_eq!(n % 2, 1, "test meant to cover the odd-n bye slot");
+        // Odd order: the reduction's last reflection and the QL chase both
+        // end on an unpaired index.
+        let n = 67;
         let a = large_symmetric(n);
         let e = sym_eig(&a).unwrap();
         let trace: f64 = (0..n).map(|i| a[(i, i)] as f64).sum();
@@ -606,13 +496,9 @@ mod tests {
 
     #[test]
     fn round_sweep_matches_row_cyclic_spectrum_on_gram_matrix() {
-        // Same Gram matrix solved by both orderings: build it at a size on
-        // the round-sweep side, then compare against eigenvalues of the
-        // same matrix shrunk below the threshold... sizes differ, so
-        // instead pin the round-sweep spectrum against an independent
-        // invariant: eigenvalues of WᵀW are the squared singular values,
-        // whose sum is ‖W‖²_F.
-        let n = ROUND_SWEEP_MIN_N * 2;
+        // Eigenvalues of WᵀW are the squared singular values: nonnegative,
+        // summing to ‖W‖²_F.
+        let n = 128;
         let w = Matrix::from_fn(3 * n, n, |i, j| ((i * 5 + j * 11) % 23) as f32 * 0.1 - 1.1);
         let gm = Matrix::from_f64_vec(n, n, &w.gram_f64());
         let e = sym_eig(&gm).unwrap();
@@ -631,5 +517,59 @@ mod tests {
         // Spectrum of [[1,1],[1,1]] is {2, 0}.
         assert!((e.values[0] - 2.0).abs() < 1e-9);
         assert!(e.values[1].abs() < 1e-9);
+    }
+
+    #[test]
+    fn fc1_gram_of_order_500() {
+        // LeNet fc1's shape: the largest solve of a LeNet compression pass.
+        let g = dense(800, 500, 1).gram_f64();
+        let values = solve_and_check(&g, 500);
+        assert!(values[499] > -1e-12 * values[0], "Gram spectrum dips below zero");
+    }
+
+    #[test]
+    fn nearly_diagonal_gram_of_a_clip_step() {
+        // The clip-step input: U = W·V for V from a prior fit of W, so UᵀU
+        // is diagonal up to round-off (plus an f32 perturbation, as after
+        // a few training iterations).
+        let w = dense(300, 120, 2);
+        let n = w.cols();
+        let (_, v) = sym_eig_f64(&mut w.gram_f64(), n).unwrap();
+        let u = w.matmul(&Matrix::from_f64_vec(n, n, &v));
+        let u = Matrix::from_fn(u.rows(), n, |i, j| u[(i, j)] + 1e-3 * ((i * j) as f32).cos());
+        solve_and_check(&u.gram_f64(), n);
+    }
+
+    #[test]
+    fn repeated_eigenvalues() {
+        let n = 40;
+        let identity: Vec<f64> =
+            (0..n * n).map(|i| if i % (n + 1) == 0 { 1.0 } else { 0.0 }).collect();
+        let values = solve_and_check(&identity, n);
+        assert!(values.iter().all(|&v| v == 1.0), "identity spectrum {values:?}");
+
+        // Two diagonal blocks with the same spectrum: every eigenvalue
+        // appears (at least) twice.
+        let b = 20;
+        let block = dense(30, b, 3).gram_f64();
+        let mut g = vec![0.0_f64; n * n];
+        for i in 0..b {
+            for j in 0..b {
+                g[i * n + j] = block[i * b + j];
+                g[(i + b) * n + j + b] = block[i * b + j];
+            }
+        }
+        let values = solve_and_check(&g, n);
+        for pair in values.chunks(2) {
+            assert!((pair[0] - pair[1]).abs() <= 1e-12 * values[0], "unpaired {pair:?}");
+        }
+    }
+
+    #[test]
+    fn rank_deficient_gram() {
+        // N < M: a 25×50 matrix has a 50×50 Gram of rank at most 25.
+        let values = solve_and_check(&dense(25, 50, 4).gram_f64(), 50);
+        assert!(values[24] > 1e-6 * values[0], "the leading 25 are well separated from zero");
+        assert!(values[25..].iter().all(|v| v.abs() <= 1e-12 * values[0]), "{values:?}");
     }
 }

@@ -8,8 +8,7 @@
 //! # Sweep ordering and parallelism
 //!
 //! A sweep visits every unordered column pair once, as `m - 1` *tournament
-//! rounds* (the circle-method round-robin schedule, shared with the
-//! two-sided Jacobi in [`crate::sym_eig`]): each round rotates `⌊m/2⌋`
+//! rounds* (the circle-method round-robin schedule): each round rotates `⌊m/2⌋`
 //! pairwise-disjoint column pairs. Disjoint pairs touch no common data, so
 //! the pairs of one round can run in any order — or concurrently — without
 //! changing a single bit of the result: each pair's Givens angle and both
@@ -18,8 +17,8 @@
 //! order. The round order itself is fixed, so the serial path and the
 //! pool-parallel path (feature `parallel`, rounds fanned out over
 //! [`rayon::scope`] when big enough to pay for dispatch) are **bitwise
-//! identical** — the same contract the matmul kernels and the eigensolver
-//! keep, enforced by the `spectral_agreement` proptests. [`svd_serial`] is
+//! identical** — the same contract the matmul kernels keep, enforced by
+//! the `spectral_agreement` proptests. [`svd_serial`] is
 //! the always-sequential reference entry point.
 
 use crate::error::{LinalgError, Result};

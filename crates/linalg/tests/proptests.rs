@@ -69,7 +69,7 @@ proptest! {
     #[test]
     fn sym_eig_reconstructs_and_is_orthonormal(m in square_matrix_strategy(10)) {
         let sym = m.add(&m.transpose()).map(|v| v * 0.5);
-        let e = sym_eig(&sym).expect("jacobi converges on small symmetric matrices");
+        let e = sym_eig(&sym).expect("the QL solver converges on small symmetric matrices");
         // Reconstruction.
         let r = e.reconstruct();
         prop_assert!(sym.sub(&r).max_abs() < 1e-3);

@@ -116,10 +116,10 @@ fn clip_step(net: &mut Network, cfg: &RankClipConfig) -> Result<bool> {
         if k_now <= 1 {
             continue;
         }
-        let k_hat = cfg.method.min_rank_for_error(&u, cfg.eps)?.max(1);
-        if k_hat < k_now {
+        // One solve both picks K̂ and yields the factors; ranks never drop
+        // below 1 (both methods' minimum rank is at least 1 here).
+        if let Some((_, u_hat, v_hat)) = cfg.method.clip_below(&u, cfg.eps, k_now)? {
             // U ≈ Û·V̂ᵀ  ⇒  W ≈ Û·(V·V̂)ᵀ
-            let (u_hat, v_hat) = cfg.method.factorize(&u, k_hat)?;
             let v_new = v.matmul(&v_hat);
             let layer =
                 net.layer_mut(name).ok_or_else(|| LraError::UnknownLayer { name: name.clone() })?;

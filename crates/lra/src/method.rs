@@ -54,18 +54,41 @@ impl LraMethod {
     ///
     /// Propagates solver failures.
     pub fn clip(&self, w: &Matrix, eps: f64) -> Result<(usize, Matrix, Matrix), LinalgError> {
+        self.clip_below(w, eps, usize::MAX)
+            .map(|clipped| clipped.expect("every rank is below usize::MAX"))
+    }
+
+    /// [`clip`](Self::clip) from one solve, factorizing only when the
+    /// chosen rank is below `rank`: `None` means `w` admits no clip under
+    /// `eps` (rank clipping's per-layer step).
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures.
+    pub fn clip_below(
+        &self,
+        w: &Matrix,
+        eps: f64,
+        rank: usize,
+    ) -> Result<Option<(usize, Matrix, Matrix)>, LinalgError> {
         match self {
             LraMethod::Pca => {
                 let pca = Pca::fit(w)?;
                 let k = pca.min_rank_for_error(eps);
+                if k >= rank {
+                    return Ok(None);
+                }
                 let (u, v) = pca.factors(w, k)?;
-                Ok((k, u, v))
+                Ok(Some((k, u, v)))
             }
             LraMethod::Svd => {
                 let d = svd(w)?;
                 let k = d.min_rank_for_error(eps);
+                if k >= rank {
+                    return Ok(None);
+                }
                 let (u, v) = d.factors(k)?;
-                Ok((k, u, v))
+                Ok(Some((k, u, v)))
             }
         }
     }
@@ -105,6 +128,17 @@ mod tests {
             assert!(k <= 6);
             let err = w.relative_error(&u.matmul_nt(&v));
             assert!(err <= 0.05 + 1e-6, "{method}: err {err}");
+        }
+    }
+
+    #[test]
+    fn clip_below_factorizes_only_under_the_bound() {
+        let w = low_rank_matrix(20, 10, 6);
+        for method in [LraMethod::Pca, LraMethod::Svd] {
+            let clipped = method.clip(&w, 1e-6).unwrap();
+            assert!(method.clip_below(&w, 1e-6, clipped.0).unwrap().is_none(), "{method}");
+            let below = method.clip_below(&w, 1e-6, clipped.0 + 1).unwrap();
+            assert_eq!(below, Some(clipped), "{method}: same solve, same factors");
         }
     }
 

@@ -1,58 +1,23 @@
 //! Proves the compiled plan's warm-path claim: after a warm-up pass,
 //! `CompiledNet::infer_into` performs **zero heap allocation**.
 //!
-//! A counting global allocator wraps the system one; the network is sized
-//! so every matmul stays below `PARALLEL_FLOP_THRESHOLD` (the rayon pool's
-//! job dispatch is the one legitimate allocator user on larger shapes, and
-//! it is bypassed below the threshold — this keeps the assertion exact on
-//! any host core count).
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! A counting global allocator wraps the system one (see `alloc_count`);
+//! the network is sized so every matmul stays below
+//! `PARALLEL_FLOP_THRESHOLD` (the rayon pool's job dispatch is the one
+//! legitimate allocator user on larger shapes, and it is bypassed below the
+//! threshold — this keeps the assertion exact on any host core count).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use scissor_nn::{InferScratch, NetworkBuilder, Tensor4, TileConfig};
 
-struct CountingAlloc;
+mod alloc_count;
+use alloc_count::{allocations_during, serial};
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// The counter is process-global and the harness runs this binary's tests
-/// on concurrent threads; each test holds this lock across its whole body
-/// so another test's setup allocations cannot land inside a measurement
-/// window.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-// ordering: Relaxed — audit downgrade from SeqCst: the measured paths run
-// on the thread that reads the before/after counts (SERIAL serializes the
-// tests and the shapes stay below the parallel dispatch threshold), so
-// program order alone makes the deltas exact; no cross-thread edge — let
-// alone a total order — is needed.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn warm_compiled_forward_allocates_nothing() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(3);
     // Small enough that every product is under the parallel threshold;
     // still one of each step kind (conv, pool, relu, linear).
@@ -77,17 +42,16 @@ fn warm_compiled_forward_allocates_nothing() {
     let warm = plan.infer_into(&x, &mut scratch).as_slice().to_vec();
     let _ = plan.infer_into(&x, &mut scratch);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let logits = plan.infer_into(&x, &mut scratch);
-    assert_eq!(logits.as_slice(), warm.as_slice(), "warm passes must agree");
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "warm compiled forward must not allocate");
+    let allocs = allocations_during(|| {
+        let logits = plan.infer_into(&x, &mut scratch);
+        assert_eq!(logits.as_slice(), warm.as_slice(), "warm passes must agree");
+    });
+    assert_eq!(allocs, 0, "warm compiled forward must not allocate");
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn warm_scratch_makes_the_first_real_pass_allocation_free() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(5);
     let net = NetworkBuilder::new((1, 6, 6))
         .conv("conv1", 3, 3, 1, 0, &mut rng)
@@ -108,11 +72,11 @@ fn warm_scratch_makes_the_first_real_pass_allocation_free() {
             6,
             (0..batch * 36).map(|i| ((i * 3 + 2) % 19) as f32 * 0.1 - 0.9).collect(),
         );
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let logits = plan.infer_into(&x, &mut scratch);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(logits.as_slice().len(), batch * 4);
-        assert_eq!(after - before, 0, "warmed scratch pass (batch {batch}) must not allocate");
+        let allocs = allocations_during(|| {
+            let logits = plan.infer_into(&x, &mut scratch);
+            assert_eq!(logits.as_slice().len(), batch * 4);
+        });
+        assert_eq!(allocs, 0, "warmed scratch pass (batch {batch}) must not allocate");
     }
     // And the result matches a cold-scratch pass bitwise.
     let x = Tensor4::from_vec(
@@ -127,10 +91,9 @@ fn warm_scratch_makes_the_first_real_pass_allocation_free() {
     assert_eq!(warm.as_slice(), cold.as_slice());
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn tiled_warm_forward_allocates_nothing() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(6);
     let net = NetworkBuilder::new((1, 6, 6))
         .conv("conv1", 3, 3, 1, 0, &mut rng)
@@ -151,11 +114,11 @@ fn tiled_warm_forward_allocates_nothing() {
             6,
             (0..batch * 36).map(|i| ((i * 7 + 5) % 23) as f32 * 0.1 - 1.0).collect(),
         );
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let logits = plan.infer_into(&x, &mut scratch);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(logits.shape(), (batch, 4));
-        assert_eq!(after - before, 0, "warm tiled forward (batch {batch}) must not allocate");
+        let allocs = allocations_during(|| {
+            let logits = plan.infer_into(&x, &mut scratch);
+            assert_eq!(logits.shape(), (batch, 4));
+        });
+        assert_eq!(allocs, 0, "warm tiled forward (batch {batch}) must not allocate");
     }
     // And tiled output equals the untiled pass bitwise.
     let x = Tensor4::from_vec(
@@ -171,7 +134,6 @@ fn tiled_warm_forward_allocates_nothing() {
     assert_eq!(tiled.as_slice(), untiled.as_slice());
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn evaluate_chunks_add_no_allocations_beyond_warmup() {
     // Regression for the eval path's per-chunk `Vec<usize>` index +
@@ -179,7 +141,7 @@ fn evaluate_chunks_add_no_allocations_beyond_warmup() {
     // evaluation with many chunks must allocate exactly as much as one
     // with a single chunk (the predictions vector + scratch warm-up) —
     // chunk count must not appear in the allocation count.
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(8);
     let net = NetworkBuilder::new((1, 6, 6))
         .conv("conv1", 3, 3, 1, 0, &mut rng)
@@ -198,9 +160,9 @@ fn evaluate_chunks_add_no_allocations_beyond_warmup() {
             (0..n * 36).map(|i| ((i * 11 + 3) % 29) as f32 * 0.1 - 1.2).collect(),
         );
         let labels: Vec<usize> = (0..n).map(|i| i % 4).collect();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let _ = plan.evaluate(&x, &labels, batch);
-        ALLOCATIONS.load(Ordering::Relaxed) - before
+        allocations_during(|| {
+            let _ = plan.evaluate(&x, &labels, batch);
+        })
     };
     let one_chunk = count_eval(batch);
     let six_chunks = count_eval(6 * batch);
@@ -210,10 +172,9 @@ fn evaluate_chunks_add_no_allocations_beyond_warmup() {
     );
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn predict_into_is_allocation_free_when_warm() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(9);
     let net = NetworkBuilder::new((1, 6, 6))
         .conv("conv1", 3, 3, 1, 0, &mut rng)
@@ -231,18 +192,17 @@ fn predict_into_is_allocation_free_when_warm() {
     );
     let mut scratch = plan.warm_scratch(batch);
     let mut preds = Vec::with_capacity(batch);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    plan.predict_into(x.batch_range(0..batch), &mut scratch, &mut preds);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs = allocations_during(|| {
+        plan.predict_into(x.batch_range(0..batch), &mut scratch, &mut preds);
+    });
     assert_eq!(preds.len(), batch);
-    assert_eq!(after - before, 0, "warm predict_into must not allocate");
+    assert_eq!(allocs, 0, "warm predict_into must not allocate");
     assert_eq!(preds, plan.predict(&x, &mut scratch), "into-variant matches the convenience path");
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn smaller_batches_through_a_warm_scratch_allocate_nothing() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(4);
     let net = NetworkBuilder::new((1, 5, 5))
         .conv("conv1", 2, 3, 1, 0, &mut rng)
@@ -255,9 +215,9 @@ fn smaller_batches_through_a_warm_scratch_allocate_nothing() {
     let mut scratch = InferScratch::new();
     let _ = plan.infer_into(&big, &mut scratch);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let _ = plan.infer_into(&small, &mut scratch);
-    let _ = plan.infer_into(&big, &mut scratch);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "shrink/regrow within warmed capacity must not allocate");
+    let allocs = allocations_during(|| {
+        let _ = plan.infer_into(&small, &mut scratch);
+        let _ = plan.infer_into(&big, &mut scratch);
+    });
+    assert_eq!(allocs, 0, "shrink/regrow within warmed capacity must not allocate");
 }

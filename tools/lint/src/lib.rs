@@ -67,8 +67,8 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
             .map_err(|e| format!("failed to read {}: {e}", file.display()))?;
         let toks = lexer::strip_cfg_test(lexer::lex(&src));
         // The ordering rule covers everything walked — test files too,
-        // so the SeqCst-audit justifications in the counting-allocator
-        // and spin-gate tests stay enforced. The remaining rules are
+        // so the SeqCst-audit justifications in the pool's spin-gate
+        // tests stay enforced. The remaining rules are
         // production contracts and apply to `src/` trees only: an
         // integration test legitimately implements `GlobalAlloc` with
         // `unsafe` or unwraps a join handle.
