@@ -202,7 +202,7 @@ fn bench_server_end_to_end(c: &mut Criterion) {
         stats.mean_batch_size(),
         stats.full_batches,
         stats.mean_latency(),
-        stats.max_latency,
+        stats.max_latency(),
         stats.infer_throughput()
     );
 }

@@ -459,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn round_sweep_path_reconstructs_input() {
+    fn order_80_reconstructs_input() {
         let a = large_symmetric(80);
         let e = sym_eig(&a).unwrap();
         let r = e.reconstruct();
@@ -467,7 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn round_sweep_path_gives_orthonormal_eigenvectors() {
+    fn order_66_eigenvectors_are_orthonormal() {
         let n = 66;
         let a = large_symmetric(n);
         let e = sym_eig(&a).unwrap();
@@ -481,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn round_sweep_path_handles_odd_order_with_bye() {
+    fn odd_order_67_keeps_trace_and_reconstructs() {
         // Odd order: the reduction's last reflection and the QL chase both
         // end on an unpaired index.
         let n = 67;
@@ -495,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn round_sweep_matches_row_cyclic_spectrum_on_gram_matrix() {
+    fn gram_of_order_128_spectrum_is_nonnegative_and_sums_to_frobenius() {
         // Eigenvalues of WᵀW are the squared singular values: nonnegative,
         // summing to ‖W‖²_F.
         let n = 128;

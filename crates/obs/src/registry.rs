@@ -10,9 +10,7 @@ use serde::{Serialize, Value};
 
 /// Number of histogram buckets: one per possible bit length of a `u64`
 /// value (bucket 0 counts exact zeros), so any nanosecond/byte/count
-/// observation lands without range configuration. Generalizes the
-/// 40-bucket latency histogram in `scissor_serve::stats` to the full
-/// `u64` range.
+/// observation lands without range configuration.
 pub const HIST_BUCKETS: usize = 64;
 
 /// Maps a value to its histogram bucket (its bit length, clamped).
@@ -164,7 +162,7 @@ impl Histogram {
 }
 
 /// An immutable copy of a [`Histogram`] at sample time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramValue {
     /// Observations recorded.
     pub count: u64,
@@ -224,6 +222,17 @@ impl HistogramValue {
             }
         }
         self.max
+    }
+
+    /// Folds `other` in: the distribution of both observation sets
+    /// (counts, sums and buckets add; `max` takes the larger).
+    pub fn merge(&mut self, other: &HistogramValue) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
     }
 
     /// The distribution accumulated since `earlier` (a previous value of
@@ -642,6 +651,24 @@ mod tests {
         assert!(v.mean() > 0.0);
         // Empty histogram: all zeros.
         assert_eq!(HistogramValue::zero().quantile(0.99), 0);
+    }
+
+    #[test]
+    fn merged_histograms_describe_both_observation_sets() {
+        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [3, 900, 0] {
+            a.record(v);
+            both.record(v);
+        }
+        for v in [5_000, 7] {
+            b.record(v);
+            both.record(v);
+        }
+        let mut merged = a.value();
+        merged.merge(&b.value());
+        assert_eq!(merged, both.value());
+        merged.merge(&HistogramValue::zero());
+        assert_eq!(merged, both.value(), "zero is the identity");
     }
 
     #[test]

@@ -87,16 +87,17 @@ pub use error::RouterError;
 pub use scissor_nn::ServingForm;
 pub use scissor_obs::{Registry, Snapshot};
 pub use scissor_serve::{
-    Clock, MonotonicClock, ServeConfig, ServeStats, SpanKind, SpanRecord, Ticket, TraceId,
-    TraceLog, TraceSink, VirtualClock,
+    Clock, MonotonicClock, ServeConfig, ServeMetrics, ServeStats, SpanKind, SpanRecord, Ticket,
+    TraceId, TraceLog, TraceSink, VirtualClock,
 };
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use scissor_nn::{CompiledNet, Tensor4};
-use scissor_serve::{bucket_upper_ns, PendingRequest, Replica};
+use scissor_obs::Counter;
+use scissor_serve::{PendingRequest, Replica};
 use serde::{Serialize, Value};
 
 /// Convenience alias for router results.
@@ -235,12 +236,14 @@ pub fn select_replica(
 /// A snapshot of one model's serving state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelStats {
-    /// Replica counters merged across the model's replicas
-    /// (`queue_depth` is the model-wide backlog gauge; `serve.shed`
-    /// counts rejections at the replicas' own queue caps).
+    /// The model's serve counters, read from its `serve.<model>.*`
+    /// handles (`queue_depth` is the model-wide backlog, `ewma_service_ns`
+    /// the slowest replica's estimate; `serve.shed` counts rejections at
+    /// the replicas' own queue caps).
     pub serve: ServeStats,
-    /// Submissions shed at the router's admission gate (does not include
-    /// the replica-level `serve.shed`; see [`ModelStats::total_shed`]).
+    /// Submissions shed at the router's admission gate, read from the
+    /// `router.<model>.shed` counter (does not include the replica-level
+    /// `serve.shed`; see [`ModelStats::total_shed`]).
     pub shed: u64,
     /// Number of replicas.
     pub replicas: usize,
@@ -268,7 +271,11 @@ struct ModelEntry {
     /// Admission high-water mark; atomic so the control plane can resize
     /// it under the registry's *read* lock without stalling submissions.
     high_water: AtomicUsize,
-    shed: AtomicU64,
+    /// Admission-gate sheds, registered as `router.<model>.shed`.
+    shed: Counter,
+    /// The model's serve counters, registered as `serve.<model>.*` and
+    /// shared by every replica, so they outlive scale-downs.
+    metrics: ServeMetrics,
     /// The batching knobs runtime-added replicas are spawned with
     /// (`queue_cap` already clamped to the registration-time high water).
     replica_cfg: ServeConfig,
@@ -277,10 +284,6 @@ struct ModelEntry {
     /// scale-up during a maintenance hold (or a deterministic test) does
     /// not silently start draining.
     paused: AtomicBool,
-    /// Final counters of scaled-down replicas, accumulated so the
-    /// model-wide cumulative stats (and the supervisor's per-tick deltas
-    /// computed from them) never regress when capacity leaves the pool.
-    retired: Mutex<ServeStats>,
 }
 
 impl ModelEntry {
@@ -314,19 +317,45 @@ impl ModelEntry {
     }
 
     fn stats(&self) -> ModelStats {
-        let mut serve = *self.retired.lock().expect("retired stats poisoned");
-        for r in &self.replicas {
-            serve.merge(&r.stats());
-        }
         ModelStats {
-            serve,
-            // ordering: Relaxed — stat counter snapshot; may lag
-            // in-flight sheds.
-            shed: self.shed.load(Ordering::Relaxed),
+            serve: ServeStats {
+                queue_depth: self.replicas.iter().map(|r| r.queue_depth() as u64).sum(),
+                ewma_service_ns: self
+                    .replicas
+                    .iter()
+                    .map(Replica::ewma_service_ns)
+                    .max()
+                    .unwrap_or(0),
+                ..self.metrics.snapshot()
+            },
+            shed: self.shed.get(),
             replicas: self.replicas.len(),
             queue_high_water: self.high_water(),
             form: self.plan.serving_form(),
         }
+    }
+
+    /// This model's section of [`Router::observability_snapshot`]: what
+    /// no registered handle holds.
+    fn value(&self) -> Value {
+        let seq = |v: Vec<u64>| Value::Seq(v.into_iter().map(Value::U64).collect());
+        Value::Map(vec![
+            ("form".to_string(), Value::Str(self.plan.serving_form().to_string())),
+            ("replicas".to_string(), Value::U64(self.replicas.len() as u64)),
+            ("queue_high_water".to_string(), Value::U64(self.high_water() as u64)),
+            (
+                "queue_depths".to_string(),
+                seq(self.replicas.iter().map(|r| r.queue_depth() as u64).collect()),
+            ),
+            (
+                "ewma_service_ns".to_string(),
+                seq(self.replicas.iter().map(Replica::ewma_service_ns).collect()),
+            ),
+            (
+                "profile".to_string(),
+                self.plan.profiler().map_or(Value::Null, |p| p.snapshot().to_value()),
+            ),
+        ])
     }
 }
 
@@ -342,8 +371,8 @@ pub struct Router {
     /// [`VirtualClock`] here puts the entire serving tier on test time.
     clock: Arc<dyn Clock>,
     /// The router-wide metrics registry. Producers across the stack
-    /// (admission gate, supervisor, tile calibration) register named
-    /// counters/gauges here; [`Router::observability_snapshot`] folds a
+    /// (replicas, admission gate, supervisor, tile calibration) register
+    /// named handles here; [`Router::observability_snapshot`] folds a
     /// reading of it into the one-document export.
     registry: Arc<Registry>,
     /// The router-wide span sink. Every replica the router spawns carries
@@ -399,8 +428,8 @@ impl Router {
     }
 
     /// The router-wide metrics registry — the sink every producer in the
-    /// serving stack (admission gate, supervisor, tile calibration)
-    /// publishes named counters and gauges into. Shared so callers can
+    /// serving stack (replicas, admission gate, supervisor, tile
+    /// calibration) publishes named handles into. Shared so callers can
     /// attach their own metrics or take [`Registry::snapshot`]s for
     /// interval deltas.
     pub fn registry(&self) -> Arc<Registry> {
@@ -429,13 +458,20 @@ impl Router {
     }
 
     /// Spawns one traced replica over `plan`, stamped with the next
-    /// router-unique replica id. The single spawn path for registration
-    /// and scale-up, so every replica is guaranteed a [`TraceSink`].
-    fn spawn_replica(&self, plan: Arc<CompiledNet>, cfg: ServeConfig) -> Replica {
+    /// router-unique replica id and counting into the model's `metrics`.
+    /// The single spawn path for registration and scale-up, so every
+    /// replica is guaranteed a [`TraceSink`] and the model's handles.
+    fn spawn_replica(
+        &self,
+        plan: Arc<CompiledNet>,
+        cfg: ServeConfig,
+        metrics: &ServeMetrics,
+    ) -> Replica {
         // ordering: Relaxed — id uniqueness comes from the RMW itself;
         // the replica is published via the registry's RwLock, not here.
         let id = self.next_replica_id.fetch_add(1, Ordering::Relaxed);
-        Replica::start_traced(plan, cfg, self.clock(), TraceSink::new(self.trace_log(), id))
+        let sink = TraceSink::new(self.trace_log(), id);
+        Replica::start_traced(plan, cfg, self.clock(), sink, metrics.clone())
     }
 
     /// Registers `plan` under `model` and spawns its replicas.
@@ -481,8 +517,10 @@ impl Router {
         if models.contains_key(model) {
             return Err(RouterError::DuplicateModel { model: model.to_string() });
         }
-        let replicas =
-            (0..cfg.replicas).map(|_| self.spawn_replica(Arc::clone(&plan), replica_cfg)).collect();
+        let metrics = ServeMetrics::registered(&self.registry, &format!("serve.{model}"));
+        let replicas = (0..cfg.replicas)
+            .map(|_| self.spawn_replica(Arc::clone(&plan), replica_cfg, &metrics))
+            .collect();
         models.insert(
             model.to_string(),
             ModelEntry {
@@ -490,11 +528,11 @@ impl Router {
                 replicas,
                 rr: AtomicUsize::new(0),
                 high_water: AtomicUsize::new(cfg.queue_high_water),
-                shed: AtomicU64::new(0),
+                shed: self.registry.counter(&format!("router.{model}.shed")),
+                metrics,
                 replica_cfg,
                 policy: cfg.policy,
                 paused: AtomicBool::new(false),
-                retired: Mutex::new(ServeStats::zero()),
             },
         );
         Ok(())
@@ -552,16 +590,14 @@ impl Router {
         let (best, depth) = entry.route();
         let high_water = entry.high_water();
         if depth >= high_water {
-            // ordering: Relaxed — stat counter; no reader pairs it with
-            // other memory.
-            entry.shed.fetch_add(1, Ordering::Relaxed);
+            entry.shed.inc();
             return Err(RouterError::Overloaded { model: model.to_string(), depth, high_water });
         }
         match f(&entry.replicas[best]) {
             // Racing submitters can slip past the gauge-based gate and hit
             // the chosen replica's own cap; that is still an overload shed
             // from the caller's point of view. The replica already counted
-            // it in its `ServeStats::shed` (so the gate counter is NOT
+            // it in the model's `serve.<model>.shed` (so the gate counter is NOT
             // bumped — each rejection lands in exactly one counter), and
             // the error reports the model-wide backlog to match the
             // model-wide high-water mark.
@@ -663,7 +699,8 @@ impl Router {
         let entry = models
             .get_mut(model)
             .ok_or_else(|| RouterError::UnknownModel { model: model.to_string() })?;
-        let replica = self.spawn_replica(Arc::clone(&entry.plan), entry.replica_cfg);
+        let replica =
+            self.spawn_replica(Arc::clone(&entry.plan), entry.replica_cfg, &entry.metrics);
         // ordering: Relaxed — read under the registry write lock, which
         // already orders it against `for_model`'s store (the lock pair is
         // the happens-before edge; the atomic just avoids &mut plumbing).
@@ -713,9 +750,7 @@ impl Router {
             .max_by_key(|(i, r)| (r.ewma_service_ns(), *i))
             .map(|(i, _)| i)
             .expect("len checked above");
-        let torn = entry.replicas.remove(victim).dismantle();
-        entry.retired.lock().expect("retired stats poisoned").merge(&torn.stats);
-        for req in torn.pending {
+        for req in entry.replicas.remove(victim).dismantle() {
             reroute(&entry.replicas, req);
         }
         Ok(entry.replicas.len())
@@ -810,79 +845,36 @@ impl Router {
         models.get(model).map(|e| e.replicas.iter().map(Replica::ewma_service_ns).collect())
     }
 
-    /// One JSON document covering the whole serving stack:
+    /// One JSON document covering the whole serving stack, each number
+    /// once:
     ///
-    /// * `models.<name>.serve` — merged replica counters with the full
-    ///   latency picture (mean/max, p50/p95/p99/p99.9 and the sparse log₂
-    ///   histogram with true bucket bounds; the open-ended top bucket
-    ///   reports `upper_ns: null`);
-    /// * `models.<name>.router` — admission-gate sheds, per-replica queue
-    ///   depths and service-time EWMAs (the routing signals);
-    /// * `models.<name>.profile` — per-step time/working-set aggregates
-    ///   when the plan's profiler is built (`GS_OBS_PROFILE=1` or
+    /// * `models.<name>` — what no metric handle holds: the serving form,
+    ///   replica count, admission high-water mark, per-replica queue
+    ///   depths and service-time EWMAs (the routing signals), and the
+    ///   per-step time/working-set profile when the plan's profiler is
+    ///   built (`GS_OBS_PROFILE=1` or
     ///   [`scissor_nn::CompiledNet::enable_profiling`]), else `null`;
     /// * `pool` — the work-stealing scheduler's cumulative counters;
     /// * `trace` — the span ring's health (enabled/minted/recorded/dropped);
-    /// * `metrics` — a reading of every metric in [`Router::registry`],
-    ///   which includes the supervisor's `ctrl.decisions.*` counters and
-    ///   the `tile.*` calibration gauges.
+    /// * `metrics` — a reading of every handle in [`Router::registry`]:
+    ///   each model's `serve.<name>.{batches,full_batches,shed,infer_ns}`
+    ///   counters and `serve.<name>.latency_ns` histogram (count, sum, max,
+    ///   mean, p50/p99/p99.9 and the sparse log₂ buckets with true bounds;
+    ///   the open-ended top bucket reports `upper: null`), its
+    ///   `router.<name>.shed` admission sheds, the supervisor's
+    ///   `ctrl.decisions.*` counters and the `tile.*` calibration gauges.
     ///
-    /// Before the `metrics` reading is taken, the registry's `serve.*`,
-    /// `pool.*` and `trace.*` gauges are synced to the same values the
-    /// document reports, so interval deltas via [`Snapshot::delta_since`]
-    /// line up with the export.
+    /// Interval deltas of any of the `metrics` come from
+    /// [`Snapshot::delta_since`] over two [`Registry::snapshot`]s.
     pub fn observability_snapshot(&self) -> Value {
-        // One pass under the read lock to collect raw per-model data;
-        // everything else (gauge sync, JSON assembly) runs lock-free.
-        let mut readings: Vec<ModelReading> = {
+        let mut models: Vec<(String, Value)> = {
             let models = self.models.read().expect("router registry poisoned");
-            models
-                .iter()
-                .map(|(name, e)| ModelReading {
-                    name: name.clone(),
-                    stats: e.stats(),
-                    depths: e.replicas.iter().map(Replica::queue_depth).collect(),
-                    ewma: e.replicas.iter().map(Replica::ewma_service_ns).collect(),
-                    profile: e.plan.profiler().map(|p| p.snapshot().to_value()),
-                })
-                .collect()
+            models.iter().map(|(name, e)| (name.clone(), e.value())).collect()
         };
-        readings.sort_by(|a, b| a.name.cmp(&b.name));
-
+        models.sort_by(|a, b| a.0.cmp(&b.0));
         let pool = rayon::pool_stats();
-        for r in &readings {
-            let name = &r.name;
-            let stats = &r.stats;
-            let gauge =
-                |key: &str, v: u64| self.registry.gauge(&format!("serve.{name}.{key}")).set(v);
-            gauge("requests", stats.serve.requests);
-            gauge("shed_total", stats.total_shed());
-            gauge("queue_depth", stats.serve.queue_depth);
-            gauge("replicas", stats.replicas as u64);
-            gauge("p50_ns", stats.serve.p50_latency().as_nanos() as u64);
-            gauge("p99_ns", stats.serve.p99_latency().as_nanos() as u64);
-            gauge("p999_ns", stats.serve.p999_latency().as_nanos() as u64);
-            gauge("ewma_ns", stats.serve.ewma_service_ns);
-        }
-        let pool_gauge = |key: &str, v: u64| self.registry.gauge(&format!("pool.{key}")).set(v);
-        pool_gauge("local_pushes", pool.local_pushes);
-        pool_gauge("injected", pool.injected);
-        pool_gauge("local_pops", pool.local_pops);
-        pool_gauge("steals", pool.steals);
-        pool_gauge("injector_pops", pool.injector_pops);
-        let trace_gauge = |key: &str, v: u64| self.registry.gauge(&format!("trace.{key}")).set(v);
-        trace_gauge("minted", self.trace.minted());
-        trace_gauge("recorded", self.trace.recorded());
-        trace_gauge("dropped", self.trace.dropped());
-
-        let models_value = Value::Map(
-            readings
-                .into_iter()
-                .map(|r| (r.name, model_value(&r.stats, &r.depths, &r.ewma, r.profile)))
-                .collect(),
-        );
         Value::Map(vec![
-            ("models".to_string(), models_value),
+            ("models".to_string(), Value::Map(models)),
             (
                 "pool".to_string(),
                 Value::Map(vec![
@@ -928,88 +920,6 @@ impl Router {
             }
         }
     }
-}
-
-/// Raw per-model data collected under the registry read lock, rendered
-/// lock-free afterwards by [`model_value`].
-struct ModelReading {
-    name: String,
-    stats: ModelStats,
-    depths: Vec<usize>,
-    ewma: Vec<u64>,
-    profile: Option<Value>,
-}
-
-/// Builds one model's section of [`Router::observability_snapshot`].
-fn model_value(
-    stats: &ModelStats,
-    depths: &[usize],
-    ewma: &[u64],
-    profile: Option<Value>,
-) -> Value {
-    let s = &stats.serve;
-    // Sparse histogram: only populated buckets, each with its true
-    // `[lower, upper)` nanosecond bounds; the open-ended top bucket
-    // reports `upper_ns: null` instead of a fabricated bound.
-    let hist: Vec<Value> = s
-        .latency_hist
-        .iter()
-        .enumerate()
-        .filter(|&(_, &count)| count > 0)
-        .map(|(i, &count)| {
-            let lower = if i == 0 { 0 } else { 1u64 << (i - 1) };
-            Value::Map(vec![
-                ("lower_ns".to_string(), Value::U64(lower)),
-                ("upper_ns".to_string(), bucket_upper_ns(i).map_or(Value::Null, Value::U64)),
-                ("count".to_string(), Value::U64(count)),
-            ])
-        })
-        .collect();
-    Value::Map(vec![
-        ("form".to_string(), Value::Str(stats.form.to_string())),
-        ("replicas".to_string(), Value::U64(stats.replicas as u64)),
-        ("queue_high_water".to_string(), Value::U64(stats.queue_high_water as u64)),
-        (
-            "router".to_string(),
-            Value::Map(vec![
-                ("shed".to_string(), Value::U64(stats.shed)),
-                (
-                    "queue_depths".to_string(),
-                    Value::Seq(depths.iter().map(|&d| Value::U64(d as u64)).collect()),
-                ),
-                (
-                    "ewma_service_ns".to_string(),
-                    Value::Seq(ewma.iter().map(|&e| Value::U64(e)).collect()),
-                ),
-            ]),
-        ),
-        (
-            "serve".to_string(),
-            Value::Map(vec![
-                ("requests".to_string(), Value::U64(s.requests)),
-                ("batches".to_string(), Value::U64(s.batches)),
-                ("samples".to_string(), Value::U64(s.samples)),
-                ("full_batches".to_string(), Value::U64(s.full_batches)),
-                ("shed".to_string(), Value::U64(s.shed)),
-                ("queue_depth".to_string(), Value::U64(s.queue_depth)),
-                ("mean_batch_size".to_string(), Value::F64(s.mean_batch_size())),
-                (
-                    "latency".to_string(),
-                    Value::Map(vec![
-                        ("mean_ns".to_string(), Value::U64(s.mean_latency().as_nanos() as u64)),
-                        ("max_ns".to_string(), Value::U64(s.max_latency.as_nanos() as u64)),
-                        ("p50_ns".to_string(), Value::U64(s.p50_latency().as_nanos() as u64)),
-                        ("p95_ns".to_string(), Value::U64(s.p95_latency().as_nanos() as u64)),
-                        ("p99_ns".to_string(), Value::U64(s.p99_latency().as_nanos() as u64)),
-                        ("p999_ns".to_string(), Value::U64(s.p999_latency().as_nanos() as u64)),
-                    ]),
-                ),
-                ("latency_hist".to_string(), Value::Seq(hist)),
-                ("ewma_service_ns".to_string(), Value::U64(s.ewma_service_ns)),
-            ]),
-        ),
-        ("profile".to_string(), profile.unwrap_or(Value::Null)),
-    ])
 }
 
 /// Hands one already-admitted request to the least-loaded surviving
@@ -1240,18 +1150,65 @@ mod tests {
             "\"form\":\"f32\"",
             "\"replicas\":2",
             "\"queue_depths\"",
-            "\"p999_ns\"",
-            "\"latency_hist\"",
+            "\"p999\"",
+            "\"serve.m.latency_ns\"",
             "\"profile\":null",
             "\"pool\"",
             "\"local_pushes\"",
             "\"trace\"",
             "\"enabled\":false",
             "\"metrics\"",
-            "\"serve.m.requests\":4",
+            "\"serve.m.latency_ns\":{\"count\":4",
         ] {
             assert!(json.contains(needle), "{needle} missing from {json}");
         }
+    }
+
+    #[test]
+    fn serve_counts_live_on_registry_handles_and_are_reported_once() {
+        let router = Router::new();
+        router.register("m", tiny_plan(8, 3), ModelConfig::with_replicas(2)).unwrap();
+        router.submit("m", &sample(0)).unwrap().wait();
+        let registry = router.registry();
+        let _ = router.observability_snapshot();
+        let before = registry.snapshot();
+        let n = 5u64;
+        for s in 0..n as usize {
+            router.submit("m", &sample(s)).unwrap().wait();
+        }
+        let doc = router.observability_snapshot();
+        let now = registry.snapshot();
+        // The request count is a cumulative handle, so an interval delta
+        // reports exactly the interval's requests.
+        match now.delta_since(&before).get("serve.m.latency_ns") {
+            Some(scissor_obs::MetricValue::Histogram(h)) => assert_eq!(h.count, n),
+            other => panic!("expected the model's latency histogram, got {other:?}"),
+        }
+        // The registry holds the handles themselves, no copies of them.
+        let keys: Vec<&str> = now.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            [
+                "router.m.shed",
+                "serve.m.batches",
+                "serve.m.full_batches",
+                "serve.m.infer_ns",
+                "serve.m.latency_ns",
+                "serve.m.shed",
+            ]
+        );
+        // The document keeps no second copy of the serve numbers, and the
+        // one copy under `metrics` agrees with the stats accessor.
+        let model = doc.get_field("models").and_then(|m| m.get_field("m")).unwrap();
+        assert!(model.get_field("serve").is_err(), "models.m.serve is gone");
+        let count = doc
+            .get_field("metrics")
+            .and_then(|m| m.get_field("serve.m.latency_ns"))
+            .and_then(|h| h.get_field("count"))
+            .unwrap();
+        let requests = router.model_stats("m").unwrap().serve.requests;
+        assert_eq!(requests, n + 1);
+        assert_eq!(count, &Value::U64(requests));
     }
 
     #[test]

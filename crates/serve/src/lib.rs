@@ -47,8 +47,10 @@
 //!
 //! A [`ServeStats`] counter surface reports throughput and latency:
 //! requests served, realized batch sizes, full-batch vs timeout flushes,
-//! queue depth, shed count, and per-request latency aggregates plus a
-//! fixed-bucket histogram (p50/p95/p99).
+//! queue depth, shed count, and the per-request latency histogram
+//! (mean/max, p50/p95/p99/p99.9). The counters live on `scissor_obs`
+//! handles ([`ServeMetrics`]) that an owner may register once and share
+//! across replicas.
 //!
 //! ## Example
 //!
@@ -99,7 +101,7 @@ mod stats;
 pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use error::ServeError;
 pub use scissor_obs::{SpanKind, SpanRecord, TraceId, TraceLog};
-pub use stats::{bucket_upper_ns, Ewma, ServeStats, DEFAULT_EWMA_ALPHA_PCT, LATENCY_BUCKETS};
+pub use stats::{Ewma, ServeMetrics, ServeStats, DEFAULT_EWMA_ALPHA_PCT};
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -132,10 +134,6 @@ pub struct ServeConfig {
     /// keep the historical never-fail submit; `scissor_router` sets real
     /// bounds.
     pub queue_cap: usize,
-    /// Smoothing factor (percent, clamped to `[1, 100]`) for the
-    /// per-replica service-time EWMA latency-aware routing scores on —
-    /// see [`ServeStats::ewma_service_ns`].
-    pub ewma_alpha_pct: u8,
 }
 
 impl Default for ServeConfig {
@@ -145,7 +143,6 @@ impl Default for ServeConfig {
             max_wait: Duration::from_millis(2),
             workers: 1,
             queue_cap: usize::MAX,
-            ewma_alpha_pct: DEFAULT_EWMA_ALPHA_PCT,
         }
     }
 }
@@ -207,20 +204,6 @@ impl std::fmt::Debug for PendingRequest {
             .field("enqueued_ns", &self.inner.enqueued_ns)
             .finish()
     }
-}
-
-/// What [`Replica::dismantle`] leaves behind: the backlog to reroute and
-/// the dead replica's final counters (EWMA zeroed — it is a routing
-/// signal, not a counter) for the owner to fold into its accumulated
-/// totals so teardown never makes cumulative stats regress.
-#[derive(Debug)]
-pub struct Dismantled {
-    /// Requests that were still pending, in admission order, for
-    /// [`Replica::inject`]ion into sibling replicas.
-    pub pending: Vec<PendingRequest>,
-    /// The replica's counter snapshot after its batchers joined (any
-    /// in-flight batch's deliveries included; `queue_depth` is 0).
-    pub stats: ServeStats,
 }
 
 /// Lifecycle of one rendezvous slot: pending → ready → taken.
@@ -370,14 +353,16 @@ impl Replica {
         cfg: ServeConfig,
         clock: Arc<dyn Clock>,
     ) -> Self {
-        Self::start_inner(net, cfg, clock, None)
+        Self::start_inner(net, cfg, clock, None, ServeMetrics::default())
     }
 
-    /// [`Replica::start_with_clock`] plus a [`TraceSink`]: every request
-    /// admitted while the sink's log is enabled gets a [`TraceId`] and
-    /// queued/batched/executed [`SpanRecord`]s stamped with the sink's
-    /// replica id. With the log disabled the only cost is one relaxed
-    /// load per submission.
+    /// [`Replica::start_with_clock`] plus a [`TraceSink`] and the counter
+    /// handles to record into. Every request admitted while the sink's
+    /// log is enabled gets a [`TraceId`] and queued/batched/executed
+    /// [`SpanRecord`]s stamped with the sink's replica id; with the log
+    /// disabled the only cost is one relaxed load per submission. Replicas
+    /// started with clones of one [`ServeMetrics`] count into the same
+    /// handles, which outlive each of them.
     ///
     /// # Panics
     ///
@@ -387,8 +372,9 @@ impl Replica {
         cfg: ServeConfig,
         clock: Arc<dyn Clock>,
         sink: TraceSink,
+        metrics: ServeMetrics,
     ) -> Self {
-        Self::start_inner(net, cfg, clock, Some(sink))
+        Self::start_inner(net, cfg, clock, Some(sink), metrics)
     }
 
     fn start_inner(
@@ -396,6 +382,7 @@ impl Replica {
         cfg: ServeConfig,
         clock: Arc<dyn Clock>,
         trace: Option<TraceSink>,
+        metrics: ServeMetrics,
     ) -> Self {
         assert!(cfg.max_batch > 0, "max_batch must be positive");
         assert!(cfg.workers > 0, "workers must be positive");
@@ -410,7 +397,7 @@ impl Replica {
                 paused: false,
             }),
             available: Condvar::new(),
-            stats: StatsInner::with_alpha(cfg.ewma_alpha_pct),
+            stats: StatsInner::new(metrics),
             clock,
             trace,
             form_label,
@@ -622,7 +609,10 @@ impl Replica {
         self.shared.stats.reset_ewma()
     }
 
-    /// Snapshot of the throughput/latency counters.
+    /// Snapshot of the throughput/latency counters (those of the
+    /// [`ServeMetrics`] handles the replica was started with — shared with
+    /// its siblings, when the owner passed shared handles) with this
+    /// replica's own queue depth and service-time EWMA.
     pub fn stats(&self) -> ServeStats {
         self.shared.stats.snapshot()
     }
@@ -649,10 +639,8 @@ impl Replica {
     /// Tears the replica down **without** serving its backlog: stops
     /// admission, extracts every still-pending request (their tickets
     /// stay live) and joins the batcher threads, returning the extracted
-    /// requests for [`Replica::inject`]ion into sibling replicas plus the
-    /// replica's final counter snapshot (taken *after* the join, so an
-    /// in-flight batch's deliveries are included — a scale-down must not
-    /// make a model's cumulative counters go backwards).
+    /// requests, in admission order, for [`Replica::inject`]ion into
+    /// sibling replicas. Its counts stay on its [`ServeMetrics`] handles.
     ///
     /// A batch already in flight when this is called completes and
     /// delivers its tickets normally; the extraction happens under the
@@ -661,7 +649,7 @@ impl Replica {
     /// never neither. This is the scale-down primitive: where `shutdown`
     /// serves the backlog itself before exiting, `dismantle` hands it off
     /// so capacity leaves the pool immediately, even mid-pause.
-    pub fn dismantle(mut self) -> Dismantled {
+    pub fn dismantle(mut self) -> Vec<PendingRequest> {
         let pending: Vec<PendingRequest> = {
             let mut queue = self.shared.queue.lock().expect("serve queue poisoned");
             queue.shutdown = true;
@@ -679,11 +667,7 @@ impl Replica {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        let mut stats = self.shared.stats.snapshot();
-        // The EWMA is a routing signal for a live replica, not a counter;
-        // a dead replica must not keep steering anything.
-        stats.ewma_service_ns = 0;
-        Dismantled { pending, stats }
+        pending
     }
 }
 
@@ -978,10 +962,10 @@ mod tests {
         assert_eq!(stats.samples, 5);
         assert!(stats.batches >= 1 && stats.batches <= 5);
         assert!(stats.mean_batch_size() >= 1.0);
-        assert!(stats.max_latency >= stats.mean_latency());
+        assert!(stats.max_latency() >= stats.mean_latency());
         assert_eq!(stats.shed, 0);
         assert_eq!(stats.queue_depth, 0, "all requests delivered → queue empty");
-        assert_eq!(stats.latency_hist.iter().sum::<u64>(), 5);
+        assert_eq!(stats.latency.buckets.iter().sum::<u64>(), 5);
         assert!(stats.p50_latency() <= stats.p99_latency());
     }
 
@@ -1102,12 +1086,11 @@ mod tests {
         let tickets: Vec<Ticket> =
             (0..5).map(|s| a.submit(&sample(s)).expect("admitted")).collect();
         assert_eq!(a.queue_depth(), 5);
+        assert_eq!(a.stats().requests, 0, "paused: nothing delivered before teardown");
         // Tear a down mid-pause: its backlog moves to b, tickets intact.
         let torn = a.dismantle();
-        assert_eq!(torn.pending.len(), 5);
-        assert_eq!(torn.stats.requests, 0, "paused: nothing delivered before teardown");
-        assert_eq!(torn.stats.queue_depth, 0, "extracted backlog left the gauge");
-        for req in torn.pending {
+        assert_eq!(torn.len(), 5);
+        for req in torn {
             b.inject(req).expect("sibling accepts");
         }
         assert_eq!(b.queue_depth(), 5);
@@ -1135,7 +1118,7 @@ mod tests {
             (0..3).map(|s| a.submit(&sample(s)).expect("admitted")).collect();
         // b is at cap, but rerouted requests were already admitted once:
         // they must land anyway (zero lost tickets beats the cap).
-        for req in a.dismantle().pending {
+        for req in a.dismantle() {
             b.inject(req).expect("cap does not apply to rerouted requests");
         }
         assert_eq!(b.queue_depth(), 4);
@@ -1152,7 +1135,7 @@ mod tests {
         let mut d = Replica::start(Arc::clone(&plan), ServeConfig::default());
         d.shutdown();
         let mut bounced = Vec::new();
-        for req in c.dismantle().pending {
+        for req in c.dismantle() {
             bounced.push(d.inject(req).expect_err("shut-down replica must refuse"));
         }
         assert_eq!(bounced.len(), 1);
@@ -1161,6 +1144,38 @@ mod tests {
             e.inject(req).expect("live replica accepts the bounced request");
         }
         assert_eq!(t.wait().as_slice(), reference.infer(&sample(7)).as_slice());
+    }
+
+    #[test]
+    fn replicas_on_shared_metrics_count_into_one_set_that_outlives_them() {
+        let plan = Arc::new(tiny_plan());
+        let reg = scissor_obs::Registry::new();
+        let metrics = ServeMetrics::registered(&reg, "serve.m");
+        let start = |id| {
+            let sink = TraceSink::new(Arc::new(TraceLog::new(16)), id);
+            let clock = MonotonicClock::shared();
+            Replica::start_traced(
+                Arc::clone(&plan),
+                ServeConfig::default(),
+                clock,
+                sink,
+                metrics.clone(),
+            )
+        };
+        let (a, b) = (start(0), start(1));
+        a.submit(&sample(0)).unwrap().wait();
+        b.submit(&sample(1)).unwrap().wait();
+        b.submit(&sample(2)).unwrap().wait();
+        assert_eq!(a.stats().requests, 3, "siblings read the same handles");
+        assert!(a.dismantle().is_empty());
+        let s = metrics.snapshot();
+        assert_eq!((s.requests, s.samples), (3, 3), "the counts outlive the replica");
+        assert_eq!(s.batches, 3);
+        match reg.snapshot().get("serve.m.latency_ns") {
+            Some(scissor_obs::MetricValue::Histogram(h)) => assert_eq!(**h, s.latency),
+            other => panic!("expected the registered latency histogram, got {other:?}"),
+        }
+        assert_eq!(reg.snapshot().get("serve.m.batches").and_then(|m| m.as_u64()), Some(3));
     }
 
     #[test]
@@ -1182,8 +1197,8 @@ mod tests {
         // All time flowed through the virtual clock: the first request
         // aged exactly the scripted 3 ms, the second not at all, and the
         // measured infer time is zero (the clock never moved during it).
-        assert_eq!(stats.max_latency, Duration::from_millis(3));
-        assert_eq!(stats.latency_sum, Duration::from_millis(3));
+        assert_eq!(stats.max_latency(), Duration::from_millis(3));
+        assert_eq!(stats.latency.sum, 3_000_000);
         assert_eq!(stats.infer_time, Duration::ZERO);
         assert_eq!(stats.ewma_service_ns, 0);
         assert_eq!(replica.ewma_service_ns(), 0);

@@ -169,7 +169,7 @@ fn underfull_batch_flushes_on_max_wait_and_all_callers_complete() {
     assert_eq!(stats.requests, 6);
     assert_eq!(stats.full_batches, 0, "nothing can fill a 64-slot batch here");
     assert!(stats.timeout_batches() >= 1);
-    assert!(stats.max_latency >= Duration::from_millis(5) || stats.batches > 1);
+    assert!(stats.max_latency() >= Duration::from_millis(5) || stats.batches > 1);
 }
 
 #[test]
@@ -247,12 +247,12 @@ fn latency_percentiles_are_ordered_and_populated_under_load() {
     }
     let stats = server.stats();
     assert_eq!(stats.requests, 100);
-    assert_eq!(stats.latency_hist.iter().sum::<u64>(), 100);
+    assert_eq!(stats.latency.buckets.iter().sum::<u64>(), 100);
     let (p50, p95, p99) = (stats.p50_latency(), stats.p95_latency(), stats.p99_latency());
     assert!(p50 > Duration::ZERO);
     assert!(p50 <= p95 && p95 <= p99);
     // Reported percentiles are bucket upper bounds clamped to the
     // observed max, so no quantile may ever read above it.
-    assert!(p99 <= stats.max_latency);
-    assert!(stats.mean_latency() <= stats.max_latency);
+    assert!(p99 <= stats.max_latency());
+    assert!(stats.mean_latency() <= stats.max_latency());
 }

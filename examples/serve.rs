@@ -132,7 +132,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.p50_latency(),
         stats.p95_latency(),
         stats.p99_latency(),
-        stats.max_latency
+        stats.max_latency()
     );
     println!("  inference throughput {:.0} samples/s", stats.infer_throughput());
     Ok(())

@@ -162,7 +162,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.serve.p50_latency(),
             s.serve.p95_latency(),
             s.serve.p99_latency(),
-            s.serve.max_latency,
+            s.serve.max_latency(),
             s.serve.infer_throughput()
         );
     }
